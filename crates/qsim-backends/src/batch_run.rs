@@ -1,23 +1,31 @@
-//! Batched multi-state execution: [`SimBackend::run_batch`].
+//! The run loop: [`SimBackend::run_batch`], for one state or a gang of N.
 //!
-//! The serve layer's many-small-circuits regime is dominated by per-job
-//! fixed costs — pre-run analysis, fusion accounting, matrix conversion,
-//! SIMD/gate-plan construction, matrix uploads — not by amplitude
-//! arithmetic. `run_batch` takes a gang of sub-jobs, groups them by
-//! [`FusedCircuit::content_hash`], and executes each hash-equal group in
-//! one pass of the `run_with` loop over a [`StateBatch`]: analysis runs
-//! once, each gate's matrix is converted and uploaded once, one
+//! A solo run is a gang of one. [`SimBackend::run_with`] (and with it
+//! `run` and `run_plan`) hands its job to `run_batch`, so every
+//! non-sharded run applies its fused ops, charges its launches, measures
+//! and samples in the one loop here. The loop charges each launch once
+//! per gang, scaled by the gang's width, and applies it to every member
+//! state: the cuQuantum-style batched gate application. The serve layer's
+//! many-small-circuits regime is dominated by per-job fixed costs —
+//! pre-run analysis, fusion accounting, matrix conversion, SIMD/gate-plan
+//! construction, matrix uploads — and a gang pays them once: one
 //! [`qsim_core::sweep::PreparedRun`] is built per cache-blocked run and
-//! swept across every state (the cuQuantum-style batched gate
-//! application).
+//! swept across every state.
 //!
-//! Per-state arithmetic goes through exactly the single-state kernels
-//! ([`apply_run_gang`] / [`qsim_core::batch::apply_gate_gang`]), each
-//! sub-job gets its own seeded RNG for measurements and sampling, and
-//! cancellation stays per sub-job: a fired token extracts that slot's
-//! buffer mid-gang while the rest keep running. Results are therefore
-//! bit-for-bit identical to N sequential [`SimBackend::run_with`] calls
-//! (proven by `tests/batch_equivalence.rs`).
+//! `run_batch` groups its jobs by [`FusedCircuit::content_hash`] (a
+//! one-job call skips the hash) and runs each hash-equal group as one
+//! gang over a [`StateBatch`]. Per-state arithmetic goes through exactly
+//! the single-state kernels ([`apply_run_gang`] / [`apply_gate_gang`]),
+//! each sub-job gets its own seeded RNG for measurements and sampling,
+//! and cancellation stays per sub-job: a fired token extracts that slot's
+//! buffer mid-gang while the rest keep running. A sub-job's functional
+//! result is therefore the same in any gang, of any width
+//! (`tests/batch_equivalence.rs` checks it against an independent replay
+//! of the `qsim-core` kernels).
+//!
+//! `Trip` is the launch accounting — modeled clock, matrix uploads,
+//! pass tracking, kernel tallies, report — that the loop shares with the
+//! dry-run [`SimBackend::estimate`], so both walk one launch sequence.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,19 +35,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use gpu_model::runtime::{KernelDesc, StreamId};
+use gpu_model::trace::SpanKind;
 use gpu_model::GpuError;
 use qsim_core::batch::{apply_gate_gang, apply_run_gang, StateBatch};
 use qsim_core::cancel::CancelToken;
-use qsim_core::statespace::measure_slice;
+use qsim_core::statespace::{measure_slice, sample_slice};
 use qsim_core::sweep::{PassTracker, SweepExecutor};
-use qsim_core::types::{Cplx, Float};
+use qsim_core::types::{Float, Precision};
 use qsim_core::{GateMatrix, StateVector};
-use qsim_fusion::{FusedCircuit, FusedOp, FusionStrategy};
+use qsim_fusion::{FusedCircuit, FusedOp, FusionStats, FusionStrategy};
 
+use crate::plan::{gate_kernel_desc, init_kernel_desc, sample_kernel_desc};
 use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
-use crate::sim_backend::{
-    bump, count_gate_class, BackendError, RunContext, RunFailure, SimBackend,
-};
+use crate::sim_backend::{BackendError, RunContext, RunFailure, SimBackend};
 
 /// Process-wide batch identifier source, so concurrent workers' gangs stay
 /// distinguishable in metrics.
@@ -70,6 +78,9 @@ impl<'a, F: Float> BatchJob<'a, F> {
 /// [`SimBackend::run_with`] contract (buffers ride back on failure).
 pub type BatchResult<F> = Result<(StateVector<F>, RunReport), RunFailure<F>>;
 
+/// A sub-job on its way into a gang: caller index, options, context.
+type SubIn<F> = (usize, RunOptions, RunContext<F>);
+
 /// Per-sub-job bookkeeping while its state lives in the gang.
 struct Sub {
     /// Index into the caller's `jobs` vector.
@@ -92,6 +103,212 @@ fn scale_for_gang(desc: &mut KernelDesc, gang: usize) {
     desc.work.flops *= k;
     desc.work.passes *= k;
     desc.blocks = desc.blocks.saturating_mul(gang as u64).max(1);
+}
+
+/// Tally one fused unitary into the `[gpu][cpu]` class grid (index 0 =
+/// High, 1 = Low) that flattens into [`RunReport::gate_class_counts`].
+fn count_gate_class(grid: &mut [[u64; 2]; 2], qubits: &[usize], lane_qubits: usize) {
+    use qsim_core::kernels::{classify_gate, classify_gate_at, KernelClass};
+    let gpu = (classify_gate(qubits) == KernelClass::Low) as usize;
+    let cpu = (classify_gate_at(qubits, lane_qubits) == KernelClass::Low) as usize;
+    grid[gpu][cpu] += 1;
+}
+
+/// One trip of a fused circuit's launch sequence through the modeled
+/// device: the accounting the run loop and [`SimBackend::estimate`]
+/// share. Charges are made once per gang and scaled by its width, so a
+/// gang of one charges exactly what a solo run does.
+pub(crate) struct Trip<'b> {
+    backend: &'b SimBackend,
+    n: usize,
+    precision: Precision,
+    lane_qubits: usize,
+    copy_stream: Option<StreamId>,
+    tracker: PassTracker,
+    class_grid: [[u64; 2]; 2],
+    kernel_stats: BTreeMap<String, (u64, f64)>,
+    fusion_stats: FusionStats,
+    fusion_us: f64,
+    t0: f64,
+}
+
+impl<'b> Trip<'b> {
+    /// Open the timed region: restart the per-run peak-memory tracking
+    /// (the device may be long-lived), charge the modeled gate-fusion
+    /// cost (like the paper, the timed region includes it), and open the
+    /// dedicated copy stream matrix uploads overlap compute on.
+    pub(crate) fn start(
+        backend: &'b SimBackend,
+        fused: &FusedCircuit,
+        precision: Precision,
+    ) -> Self {
+        let gpu = &backend.gpu;
+        gpu.reset_peak_memory();
+        let t0 = gpu.synchronize();
+        let fusion_stats = fused.stats();
+        let fusion_us = SimBackend::fusion_cost_us(&fusion_stats);
+        gpu.advance_host_us(fusion_us);
+        Trip {
+            backend,
+            n: fused.num_qubits,
+            precision,
+            lane_qubits: qsim_core::simd::active_isa().lane_qubits(precision),
+            copy_stream: backend.flavor.uploads_matrices().then(|| gpu.create_stream()),
+            tracker: PassTracker::new(&backend.effective_sweep(), fused.num_qubits),
+            class_grid: [[0; 2]; 2],
+            kernel_stats: BTreeMap::new(),
+            fusion_stats,
+            fusion_us,
+            t0,
+        }
+    }
+
+    fn amp_bytes(&self) -> usize {
+        self.precision.amplitude_bytes()
+    }
+
+    fn double_precision(&self) -> bool {
+        self.precision == Precision::Double
+    }
+
+    /// Tally a launch (or a zero-time activity) under `name`.
+    fn record(&mut self, name: &str, (start, end): (f64, f64)) {
+        let entry = self.kernel_stats.entry(name.to_string()).or_insert((0, 0.0));
+        entry.0 += 1;
+        entry.1 += end - start;
+    }
+
+    /// Charge `desc` to the compute stream without running a body.
+    pub(crate) fn charge(&mut self, desc: &KernelDesc) -> Result<(), GpuError> {
+        let span = self.backend.gpu.charge_launch(desc, StreamId::DEFAULT)?;
+        self.record(&desc.name, span);
+        Ok(())
+    }
+
+    /// Charge `desc` to the compute stream while `body` computes on the
+    /// host.
+    fn launch<R>(&mut self, desc: &KernelDesc, body: impl FnOnce() -> R) -> Result<R, GpuError> {
+        let (start, end, r) = self.backend.gpu.launch(desc, StreamId::DEFAULT, body)?;
+        self.record(&desc.name, (start, end));
+        Ok(r)
+    }
+
+    /// Charge the `SetStateKernel` that initialises `gang` states to
+    /// `|0…0⟩`.
+    pub(crate) fn init(&mut self, gang: usize) -> Result<(), GpuError> {
+        let (flavor, len) = (self.backend.flavor, 1 << self.n);
+        let mut desc = init_kernel_desc(flavor, len, self.amp_bytes(), self.double_precision());
+        scale_for_gang(&mut desc, gang);
+        self.charge(&desc)
+    }
+
+    /// Account one fused unitary on `qubits` for a gang of `gang` states
+    /// and return its launch descriptor: upload the matrix on the copy
+    /// stream and make the compute stream wait on it, advance the pass
+    /// tracker, then build the flavor's ApplyGateH/L descriptor,
+    /// host-tuned on the CPU flavor and scaled to the gang. The caller
+    /// launches it — only charged when the gate joined a cache-blocked
+    /// run (`Trip::in_run`), executed otherwise.
+    pub(crate) fn unitary(
+        &mut self,
+        qubits: &[usize],
+        gang: usize,
+    ) -> Result<KernelDesc, GpuError> {
+        let (backend, n, amp_bytes) = (self.backend, self.n, self.amp_bytes());
+        let gpu = &backend.gpu;
+        if let Some(cs) = self.copy_stream {
+            let dim = 1usize << qubits.len();
+            let bytes = dim * dim * amp_bytes;
+            // The device-side matrix buffer, live for the upload: the
+            // run's peak device memory covers the widest one.
+            let _matrix = gpu.malloc::<u8>(bytes)?;
+            gpu.charge_memcpy(SpanKind::MemcpyH2D, bytes as u64, cs)?;
+            let ev = gpu.record_event(cs)?;
+            gpu.stream_wait_event(StreamId::DEFAULT, ev)?;
+        }
+        count_gate_class(&mut self.class_grid, qubits, self.lane_qubits);
+        let new_pass = self.tracker.on_gate(qubits);
+        let mut desc = gate_kernel_desc(
+            backend.flavor,
+            n,
+            qubits,
+            amp_bytes,
+            self.double_precision(),
+            backend.low_overhead_override,
+        );
+        desc.work.passes = if new_pass { 1.0 } else { 0.0 };
+        backend.tune_host_charge(&mut desc, n, qubits, self.lane_qubits, new_pass);
+        scale_for_gang(&mut desc, gang);
+        Ok(desc)
+    }
+
+    /// Whether the last unitary joined an open cache-blocked run (its
+    /// application waits for the run's flush).
+    pub(crate) fn in_run(&self) -> bool {
+        self.tracker.in_run()
+    }
+
+    /// Account a mid-circuit measurement of `bytes` of state: a barrier
+    /// to the pass tracker, and the D2H + H2D round trip that models
+    /// qsim's on-device measurement traffic.
+    pub(crate) fn measurement(&mut self, bytes: u64) -> Result<(), GpuError> {
+        self.tracker.on_barrier();
+        let gpu = &self.backend.gpu;
+        gpu.charge_memcpy(SpanKind::MemcpyD2H, bytes, StreamId::DEFAULT)?;
+        gpu.charge_memcpy(SpanKind::MemcpyH2D, bytes, StreamId::DEFAULT)?;
+        self.record("Measure(D2H+H2D)", (0.0, 0.0));
+        Ok(())
+    }
+
+    /// Close the timed region and build the report every member of the
+    /// gang shares. Modeled times are the gang's, divided across its
+    /// `completed` members; the peak adds the device pool's peak (matrix
+    /// buffers) to `states_bytes`, the gang's state footprint. Host
+    /// timings, measurements, samples and batch fields are left for the
+    /// caller.
+    pub(crate) fn report(
+        self,
+        fused: &FusedCircuit,
+        states_bytes: u64,
+        completed: usize,
+        analysis_warnings: Vec<String>,
+    ) -> RunReport {
+        let gpu = &self.backend.gpu;
+        let t_end = gpu.synchronize();
+        let share = completed.max(1) as f64;
+        let state_bytes = ((1usize << self.n) * self.amp_bytes()) as u64;
+        RunReport {
+            backend: self.backend.flavor.label().into(),
+            device: gpu.spec().name.clone(),
+            precision: self.precision,
+            num_qubits: self.n,
+            max_fused_qubits: fused.max_fused_qubits,
+            fused_gates: fused.num_unitaries(),
+            fusion_strategy: FusionStrategy::Greedy.label().into(),
+            predicted_cost_seconds: 0.0,
+            fusion_stats: self.fusion_stats,
+            simulated_seconds: (t_end - self.t0) * 1e-6 / share,
+            fusion_seconds: self.fusion_us * 1e-6 / share,
+            wall_seconds: 0.0,
+            setup_seconds: 0.0,
+            kernels: self
+                .kernel_stats
+                .into_iter()
+                .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
+                .collect(),
+            measurements: Vec::new(),
+            samples: Vec::new(),
+            state_bytes,
+            peak_state_bytes: states_bytes + gpu.memory_usage().1,
+            buffer_reused: false,
+            state_passes: self.tracker.stats().full_passes,
+            analysis_warnings,
+            isa: qsim_core::simd::active_isa().name().into(),
+            gate_class_counts: GateClassCount::from_grid(self.class_grid),
+            batch_id: None,
+            batch_size: 1,
+        }
+    }
 }
 
 /// Apply and clear the pending run of block-local gates across the whole
@@ -118,29 +335,45 @@ fn flush_gang<F: Float>(
             Some(Err(RunFailure { error: BackendError::Cancelled { cause, at_op }, buffer }));
     }
     pending.clear();
+    debug_assert_norms(batch, "cache-blocked sweep run");
+}
+
+/// Debug-build invariant checked after every fused-gate application: the
+/// plan's unitaries passed the pre-run analysis, so any norm drift beyond
+/// rounding means a kernel bug, not a bad circuit. Compiles to nothing in
+/// release builds.
+fn debug_assert_norms<F: Float>(batch: &StateBatch<F>, what: &str) {
+    if cfg!(debug_assertions) {
+        let tol = if F::PRECISION == Precision::Double { 1e-9 } else { 1e-3 };
+        for amps in (0..batch.len()).filter_map(|i| batch.state(i)) {
+            let norm_sqr = qsim_core::statespace::norm_sqr_slice(amps);
+            assert!((norm_sqr - 1.0).abs() < tol, "state norm² drifted to {norm_sqr} after {what}");
+        }
+    }
 }
 
 impl SimBackend {
-    /// Run N sub-jobs as a batch, returning one [`BatchResult`] per
-    /// sub-job in input order. Hash-equal plans form gangs that share one
-    /// trip through the run loop (analysis, matrix conversion + upload,
-    /// and sweep-plan construction amortized across the gang); every
-    /// report carries a shared `batch_id` and the call's `batch_size`.
+    /// Run N sub-jobs, returning one [`BatchResult`] per sub-job in input
+    /// order. Hash-equal plans form gangs that share one trip through the
+    /// run loop (analysis, matrix conversion + upload, and sweep-plan
+    /// construction amortized across the gang). When the call ran more
+    /// than one job, every report carries a shared `batch_id`; a one-job
+    /// call reports `batch_id: None`. Every report carries the call's
+    /// `batch_size`.
     ///
     /// Each sub-job's functional result — final state, measurement
-    /// outcomes, samples — is bit-for-bit what `run_with` would produce
-    /// for the same plan, options, and context. Modeled-time fields are
-    /// the gang's shares: the whole gang's simulated time divided by its
-    /// completed sub-jobs.
+    /// outcomes, samples — is bit-for-bit the same whatever else the call
+    /// holds. Modeled-time fields are the gang's shares: the whole gang's
+    /// simulated time divided by its completed sub-jobs.
     pub fn run_batch<F: Float>(&self, jobs: Vec<BatchJob<'_, F>>) -> Vec<BatchResult<F>> {
         let batch_size = jobs.len();
-        let batch_id = NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed);
+        let batch_id = (batch_size > 1).then(|| NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed));
         let mut out: Vec<Option<BatchResult<F>>> = Vec::new();
         out.resize_with(batch_size, || None);
 
         // Group by plan content, preserving submission order within and
-        // across groups (first occurrence fixes a group's rank).
-        type SubIn<F> = (usize, RunOptions, RunContext<F>);
+        // across groups (first occurrence fixes a group's rank). A one-job
+        // call has nothing to group, so it skips the hash.
         let mut groups: Vec<(u64, &FusedCircuit, Vec<SubIn<F>>)> = Vec::new();
         for (i, job) in jobs.into_iter().enumerate() {
             let Some(fused) = job.fused else {
@@ -150,7 +383,7 @@ impl SimBackend {
                 }));
                 continue;
             };
-            let h = fused.content_hash();
+            let h = if batch_size > 1 { fused.content_hash() } else { 0 };
             match groups.iter_mut().find(|(gh, _, _)| *gh == h) {
                 Some((_, _, subs)) => subs.push((i, job.opts, job.ctx)),
                 None => groups.push((h, fused, vec![(i, job.opts, job.ctx)])),
@@ -163,80 +396,47 @@ impl SimBackend {
     }
 
     /// Execute one hash-equal group of sub-jobs as a gang, writing each
-    /// sub-job's result into `out` at its original index.
+    /// sub-job's result into `out` at its original index. This is the
+    /// only place in the crate that applies fused ops to states.
     fn run_gang<F: Float>(
         &self,
         fused: &FusedCircuit,
-        subs_in: Vec<(usize, RunOptions, RunContext<F>)>,
-        batch_id: u64,
+        subs_in: Vec<SubIn<F>>,
+        batch_id: Option<u64>,
         batch_size: usize,
         out: &mut [Option<BatchResult<F>>],
     ) {
-        let n = fused.num_qubits;
-        if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
-            for (job, _, mut ctx) in subs_in {
-                out[job] = Some(Err(RunFailure {
-                    error: BackendError::InvalidCircuit(format!("unsupported qubit count {n}")),
-                    buffer: ctx.reuse_buffer.take(),
-                }));
-            }
-            return;
-        }
-        let analysis_warnings = match self.analyze_pre_run(fused) {
-            Ok(w) => w,
+        // The pre-run gate and the gang's state footprint (conservatively
+        // counting sub-jobs that may yet fail buffer validation) reject
+        // before any state is touched.
+        let checked = self.pre_run(fused).and_then(|warnings| {
+            let state_bytes =
+                ((1usize << fused.num_qubits) * F::PRECISION.amplitude_bytes()) as u64;
+            let gang_bytes = subs_in.len() as u64 * state_bytes;
+            self.check_footprint(gang_bytes)?;
+            Ok((warnings, state_bytes, gang_bytes))
+        });
+        let (analysis_warnings, state_bytes, gang_bytes) = match checked {
+            Ok(checked) => checked,
             Err(error) => {
-                for (job, _, mut ctx) in subs_in {
-                    out[job] = Some(Err(RunFailure {
-                        error: error.clone(),
-                        buffer: ctx.reuse_buffer.take(),
-                    }));
+                for (job, _, ctx) in subs_in {
+                    let buffer = ctx.reuse_buffer;
+                    out[job] = Some(Err(RunFailure { error: error.clone(), buffer }));
                 }
                 return;
             }
         };
+        let n = fused.num_qubits;
         let wall_start = Instant::now();
-        let len = 1usize << n;
-        let amp_bytes = F::PRECISION.amplitude_bytes();
-        let double_precision = F::PRECISION == qsim_core::types::Precision::Double;
-        let spec = self.gpu.spec().clone();
-        let state_bytes = (len * amp_bytes) as u64;
-
-        // Modeled-memory admission for the aggregate gang: the gang's
-        // state buffers are host allocations flowing pool → gang → pool,
-        // outside the device model's allocator, so the footprint is
-        // checked against the modeled capacity explicitly (conservatively
-        // counting sub-jobs that may yet fail buffer validation).
-        let gang_bytes = subs_in.len() as u64 * state_bytes;
-        if gang_bytes > spec.memory_bytes {
-            for (job, _, mut ctx) in subs_in {
-                out[job] = Some(Err(RunFailure {
-                    error: BackendError::Gpu(GpuError::OutOfMemory {
-                        requested_bytes: gang_bytes,
-                        free_bytes: spec.memory_bytes,
-                    }),
-                    buffer: ctx.reuse_buffer.take(),
-                }));
-            }
-            return;
-        }
-
-        self.gpu.reset_peak_memory();
-
-        // ---- timed region: like `run_with`, but the fusion charge and
-        // every per-gate fixed cost land once per *gang*. ----
-        let t0 = self.gpu.synchronize();
-        let fusion_stats = fused.stats();
-        let fusion_us = Self::fusion_cost_us(&fusion_stats);
-        self.gpu.advance_host_us(fusion_us);
+        let mut trip = Trip::start(self, fused, F::PRECISION);
 
         let mut batch = StateBatch::<F>::new(n);
         let mut subs: Vec<Sub> = Vec::new();
         let mut cancels: Vec<Option<CancelToken>> = Vec::new();
         let mut slot_jobs: Vec<usize> = Vec::new();
-        for (job, opts, mut ctx) in subs_in {
-            let reuse = ctx.reuse_buffer.take();
-            let reused = reuse.is_some();
-            match batch.push_state(reuse) {
+        for (job, opts, ctx) in subs_in {
+            let reused = ctx.reuse_buffer.is_some();
+            match batch.push_state(ctx.reuse_buffer) {
                 Ok(slot) => {
                     cancels.push(ctx.cancel.clone());
                     slot_jobs.push(job);
@@ -275,10 +475,10 @@ impl SimBackend {
                     Err(e) => {
                         let error = BackendError::Gpu(e);
                         for sub in &subs {
-                            if out[sub.job].is_none() {
+                            if let Some(buffer) = batch.take(sub.slot) {
                                 out[sub.job] = Some(Err(RunFailure {
                                     error: error.clone(),
-                                    buffer: batch.take(sub.slot),
+                                    buffer: Some(buffer),
                                 }));
                             }
                         }
@@ -288,68 +488,42 @@ impl SimBackend {
             };
         }
 
-        let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-        let isa = qsim_core::simd::active_isa();
-        let lane_qubits = isa.lane_qubits(F::PRECISION);
-        let mut class_grid = [[0u64; 2]; 2];
-
         // One batched init launch covers the whole gang (`push_state`
         // already wrote |0…0⟩ into every slot).
-        let mut init = self.init_desc(len, amp_bytes, double_precision);
-        scale_for_gang(&mut init, subs.len());
-        let r = self.gpu.charge_launch(&init, StreamId::DEFAULT);
-        let (s, e) = charge!(r);
-        bump(&mut kernel_stats, &init.name, e - s);
+        let r = trip.init(subs.len());
+        charge!(r);
         let setup_seconds = wall_start.elapsed().as_secs_f64();
 
-        let copy_stream =
-            if self.flavor.uploads_matrices() { Some(self.gpu.create_stream()) } else { None };
-        let mut tracker = PassTracker::new(&self.effective_sweep(), n);
+        // Block-local gates are charged as they come but applied when
+        // their cache-blocked run flushes (no sweeping on GPU flavors:
+        // the tracker marks every gate a barrier there).
         let mut pending: Vec<(Vec<usize>, GateMatrix<F>)> = Vec::new();
-
         for (op_index, op) in fused.ops.iter().enumerate() {
-            // Per-sub cancellation boundary, as in `run_with`.
-            for si in 0..subs.len() {
-                if !batch.is_active(subs[si].slot) {
+            // The cooperative-cancellation boundary, per sub-job: between
+            // fused gate applications, never inside a kernel.
+            for sub in &subs {
+                if !batch.is_active(sub.slot) {
                     continue;
                 }
-                if let Some(cause) = subs[si].cancel.as_ref().and_then(CancelToken::cause) {
-                    let buffer = batch.take(subs[si].slot);
-                    out[subs[si].job] = Some(Err(RunFailure {
+                if let Some(cause) = sub.cancel.as_ref().and_then(CancelToken::cause) {
+                    out[sub.job] = Some(Err(RunFailure {
                         error: BackendError::Cancelled { cause, at_op: op_index },
-                        buffer,
+                        buffer: batch.take(sub.slot),
                     }));
                 }
             }
             if batch.active_count() == 0 {
-                pending.clear();
-                break;
+                return;
             }
             match op {
                 FusedOp::Unitary(g) => {
-                    // Converted once, uploaded once, applied N times —
-                    // the batched amortization.
+                    // Converted once, uploaded once, applied N times.
                     let matrix = g.matrix_as::<F>();
-                    if let Some(cs) = copy_stream {
-                        let r = self.gpu.malloc::<Cplx<F>>(matrix.dim() * matrix.dim());
-                        let mut mbuf = charge!(r);
-                        let r = self.gpu.memcpy_h2d_async(&mut mbuf, matrix.as_slice(), cs);
+                    let r = trip.unitary(&g.qubits, batch.active_count());
+                    let desc = charge!(r);
+                    if trip.in_run() {
+                        let r = trip.charge(&desc);
                         charge!(r);
-                        let r = self.gpu.record_event(cs);
-                        let ev = charge!(r);
-                        let r = self.gpu.stream_wait_event(StreamId::DEFAULT, ev);
-                        charge!(r);
-                    }
-                    count_gate_class(&mut class_grid, &g.qubits, lane_qubits);
-                    let new_pass = tracker.on_gate(&g.qubits);
-                    let mut desc = self.gate_desc(n, &g.qubits, amp_bytes, double_precision);
-                    desc.work.passes = if new_pass { 1.0 } else { 0.0 };
-                    self.tune_host_charge(&mut desc, n, &g.qubits, lane_qubits, new_pass);
-                    scale_for_gang(&mut desc, batch.active_count());
-                    if tracker.in_run() {
-                        let r = self.gpu.charge_launch(&desc, StreamId::DEFAULT);
-                        let (s, e) = charge!(r);
-                        bump(&mut kernel_stats, &desc.name, e - s);
                         pending.push((g.qubits.clone(), matrix));
                     } else {
                         flush_gang(
@@ -361,15 +535,14 @@ impl SimBackend {
                             &slot_jobs,
                             out,
                         );
-                        let r = self.gpu.launch(&desc, StreamId::DEFAULT, || {
+                        let r = trip.launch(&desc, || {
                             apply_gate_gang(&mut batch, &g.qubits, &matrix);
                         });
-                        let (s, e, ()) = charge!(r);
-                        bump(&mut kernel_stats, &desc.name, e - s);
+                        charge!(r);
+                        debug_assert_norms(&batch, &desc.name);
                     }
                 }
                 FusedOp::Measurement { qubits, .. } => {
-                    tracker.on_barrier();
                     flush_gang(
                         &self.sweep,
                         &mut batch,
@@ -379,16 +552,9 @@ impl SimBackend {
                         &slot_jobs,
                         out,
                     );
-                    // The modeled D2H/H2D round trip of `run_with`, once
-                    // per gang at the aggregate size; measurement itself
-                    // collapses each state in place with its own RNG
-                    // (numerically identical to copy-measure-copy).
-                    let active_bytes = state_bytes * batch.active_count() as u64;
-                    let r = self.gpu.charge_memcpy(
-                        gpu_model::trace::SpanKind::MemcpyD2H,
-                        active_bytes,
-                        StreamId::DEFAULT,
-                    );
+                    // One modeled round trip at the gang's size; each
+                    // state collapses in place with its own RNG.
+                    let r = trip.measurement(state_bytes * batch.active_count() as u64);
                     charge!(r);
                     for sub in &mut subs {
                         if let Some(amps) = batch.state_mut(sub.slot) {
@@ -396,17 +562,9 @@ impl SimBackend {
                             sub.measurements.push((qubits.clone(), outcome));
                         }
                     }
-                    let r = self.gpu.charge_memcpy(
-                        gpu_model::trace::SpanKind::MemcpyH2D,
-                        active_bytes,
-                        StreamId::DEFAULT,
-                    );
-                    charge!(r);
-                    bump(&mut kernel_stats, "Measure(D2H+H2D)", 0.0);
                 }
             }
         }
-        tracker.on_barrier();
         flush_gang(
             &self.sweep,
             &mut batch,
@@ -422,85 +580,39 @@ impl SimBackend {
         let sampling =
             subs.iter().filter(|s| s.opts.sample_count > 0 && batch.is_active(s.slot)).count();
         if sampling > 0 {
-            let tpb = self.flavor.threads_per_block(qsim_core::kernels::KernelClass::High);
-            let mut desc = KernelDesc {
-                name: "SampleKernel".into(),
-                blocks: ((len as u64) / 2 / tpb as u64).max(1),
-                threads_per_block: tpb,
-                shared_mem_bytes: 0,
-                work: gpu_model::runtime::KernelWork {
-                    bytes: (len * amp_bytes) as f64,
-                    flops: len as f64 * 4.0,
-                    passes: 1.0,
-                },
-                double_precision,
-            };
-            let name = desc.name.clone();
+            let len = batch.state_len();
+            let mut desc =
+                sample_kernel_desc(self.flavor, len, trip.amp_bytes(), trip.double_precision());
             scale_for_gang(&mut desc, sampling);
-            let r = self.gpu.launch(&desc, StreamId::DEFAULT, || {
+            let r = trip.launch(&desc, || {
                 for sub in &mut subs {
                     if sub.opts.sample_count == 0 {
                         continue;
                     }
                     if let Some(amps) = batch.state(sub.slot) {
-                        sub.samples = qsim_core::statespace::sample_slice(
-                            amps,
-                            sub.opts.sample_count,
-                            &mut sub.rng,
-                        );
+                        sub.samples = sample_slice(amps, sub.opts.sample_count, &mut sub.rng);
                     }
                 }
             });
-            let (s, e, ()) = charge!(r);
-            bump(&mut kernel_stats, &name, e - s);
+            charge!(r);
         }
 
-        let t_end = self.gpu.synchronize();
-
-        // The gang's shares: modeled and wall durations divided across
-        // the sub-jobs that actually completed.
-        let completed = batch.active_count().max(1) as f64;
-        let peak_state_bytes = gang_bytes + self.gpu.memory_usage().1;
-        let kernels: Vec<KernelStat> = kernel_stats
-            .into_iter()
-            .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
-            .collect();
+        let completed = batch.active_count().max(1);
+        let report = trip.report(fused, gang_bytes, completed, analysis_warnings);
         let wall_seconds = wall_start.elapsed().as_secs_f64();
-        let state_passes = tracker.stats().full_passes;
         for sub in subs {
-            if out[sub.job].is_some() {
-                continue;
-            }
             let Some(amps) = batch.take(sub.slot) else { continue };
-            let state = StateVector::from_amplitudes(amps);
             let report = RunReport {
-                backend: self.flavor.label().into(),
-                device: spec.name.clone(),
-                precision: F::PRECISION,
-                num_qubits: n,
-                max_fused_qubits: fused.max_fused_qubits,
-                fused_gates: fused.num_unitaries(),
-                fusion_strategy: FusionStrategy::Greedy.label().into(),
-                predicted_cost_seconds: 0.0,
-                fusion_stats,
-                simulated_seconds: (t_end - t0) * 1e-6 / completed,
-                fusion_seconds: fusion_us * 1e-6 / completed,
-                wall_seconds: wall_seconds / completed,
-                setup_seconds: setup_seconds / completed,
-                kernels: kernels.clone(),
+                wall_seconds: wall_seconds / completed as f64,
+                setup_seconds: setup_seconds / completed as f64,
                 measurements: sub.measurements,
                 samples: sub.samples,
-                state_bytes,
-                peak_state_bytes,
                 buffer_reused: sub.reused,
-                state_passes,
-                analysis_warnings: analysis_warnings.clone(),
-                isa: isa.name().into(),
-                gate_class_counts: GateClassCount::from_grid(class_grid),
-                batch_id: Some(batch_id),
+                batch_id,
                 batch_size,
+                ..report.clone()
             };
-            out[sub.job] = Some(Ok((state, report)));
+            out[sub.job] = Some(Ok((StateVector::from_amplitudes(amps), report)));
         }
     }
 }

@@ -35,5 +35,5 @@ pub use qsim_fusion::{
     TrafficEstimate,
 };
 pub use report::{KernelStat, RunOptions, RunReport};
-pub use sim_backend::{Backend, BackendError, PlanOptions, RunContext, RunFailure, SimBackend};
+pub use sim_backend::{BackendError, PlanOptions, RunContext, RunFailure, SimBackend};
 pub use trajectories::{NoiseSpec, TrajectoryRunner};

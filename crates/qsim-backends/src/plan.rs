@@ -27,6 +27,22 @@ pub fn init_kernel_desc(
     }
 }
 
+/// Kernel descriptor for drawing samples from an `len`-amplitude state
+/// vector on-device (qsim's `SampleKernel`: one cumulative pass over the
+/// probabilities).
+pub fn sample_kernel_desc(
+    flavor: Flavor,
+    len: usize,
+    amp_bytes: usize,
+    double_precision: bool,
+) -> KernelDesc {
+    KernelDesc {
+        name: "SampleKernel".into(),
+        work: KernelWork { bytes: (len * amp_bytes) as f64, flops: len as f64 * 4.0, passes: 1.0 },
+        ..init_kernel_desc(flavor, len, amp_bytes, double_precision)
+    }
+}
+
 /// Kernel descriptor for one fused-gate pass over an `n`-qubit state:
 /// qsim's block geometry (each thread owns two amplitudes; 32-thread
 /// blocks for L-class, 64 for H-class) and the roofline work accounting,

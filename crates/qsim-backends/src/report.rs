@@ -98,10 +98,10 @@ pub struct RunReport {
     pub samples: Vec<u64>,
     /// Device memory held by the state vector, bytes.
     pub state_bytes: u64,
-    /// Peak device memory over the run, bytes: the state vector plus the
-    /// widest transient (matrix upload buffers, …). The service's
-    /// `metrics` verb aggregates this per job. For dry-runs this is the
-    /// modeled state footprint.
+    /// Peak device memory over the run, bytes: the gang's state vectors
+    /// plus the widest transient (matrix upload buffers). The service's
+    /// `metrics` verb aggregates this per job. Dry-runs account it the
+    /// same way.
     pub peak_state_bytes: u64,
     /// Whether the state vector lived in a recycled pool buffer instead
     /// of a fresh allocation.
@@ -123,9 +123,10 @@ pub struct RunReport {
     /// pairs, non-zero entries only, in a stable (High,High), (High,Low),
     /// (Low,High), (Low,Low) order.
     pub gate_class_counts: Vec<GateClassCount>,
-    /// Identifier shared by every sub-job of one `run_batch` call (`None`
-    /// for single runs). Lets the serve layer's metrics correlate the
-    /// reports of a gang.
+    /// Identifier shared by every sub-job of one `run_batch` call that ran
+    /// more than one job (`None` for a one-job call, which is what every
+    /// solo `run`/`run_with` is). Lets the serve layer's metrics
+    /// correlate the reports of a gang.
     pub batch_id: Option<u64>,
     /// Sub-jobs in the `run_batch` call that produced this report (1 for
     /// single runs). `kernels` and the modeled-time fields of a batched

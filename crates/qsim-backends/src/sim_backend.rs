@@ -1,7 +1,11 @@
-//! The backend run loop: executes a fused circuit on a modeled device.
+//! The single-device backend: a flavor (launch policy) bound to a modeled
+//! device, with its planning, run and dry-run entry points.
 //!
-//! One generic loop serves all four flavors (exactly as the hipified HIP
-//! backend is a line-for-line port of the CUDA backend): per fused gate it
+//! Every flavor runs the same loop (exactly as the hipified HIP backend is
+//! a line-for-line port of the CUDA backend), and every run goes through
+//! it: [`SimBackend::run_with`] is a one-job [`SimBackend::run_batch`]
+//! call into the gang loop of [`crate::batch_run`]. Per fused gate that
+//! loop
 //!
 //! 1. uploads the gate matrix with an async copy on a dedicated copy
 //!    stream (the `hipMemcpyAsync` activity of Figures 1 and 6),
@@ -12,30 +16,26 @@
 //!
 //! computing the real amplitudes on host threads while the device model
 //! charges the modeled duration to the virtual timeline.
+//! [`SimBackend::estimate`] charges the same launches without computing.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use gpu_model::runtime::{Gpu, KernelDesc, StreamId};
+use gpu_model::runtime::{Gpu, KernelDesc};
 use gpu_model::specs::DeviceSpec;
 use gpu_model::trace::TraceSink;
 use gpu_model::GpuError;
 use qsim_core::cancel::{CancelCause, CancelToken};
-use qsim_core::kernels::apply_gate_slice_par;
-use qsim_core::statespace::measure_slice;
-use qsim_core::sweep::{PassTracker, SweepConfig, SweepExecutor};
+use qsim_core::sweep::{SweepConfig, SweepExecutor};
 use qsim_core::types::{Cplx, Float};
-use qsim_core::{GateMatrix, StateVector};
+use qsim_core::StateVector;
 use qsim_fusion::{
     CpuCostModel, FusedCircuit, FusedOp, FusionCostModel, FusionPlan, FusionStats, FusionStrategy,
     GpuCostModel, LANE_SHUFFLE_FLOPS, SWEPT_JOIN_TRAFFIC_SHARE,
 };
 
+use crate::batch_run::{BatchJob, Trip};
 use crate::flavor::Flavor;
-use crate::report::{GateClassCount, KernelStat, RunOptions, RunReport};
+use crate::report::{RunOptions, RunReport};
 
 /// How a source circuit is planned into a fused circuit for a backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,38 +142,6 @@ pub struct RunFailure<F: Float> {
     pub buffer: Option<Vec<Cplx<F>>>,
 }
 
-impl<F: Float> RunFailure<F> {
-    fn early(error: BackendError) -> Self {
-        RunFailure { error, buffer: None }
-    }
-}
-
-impl<F: Float> From<GpuError> for RunFailure<F> {
-    fn from(e: GpuError) -> Self {
-        RunFailure::early(BackendError::Gpu(e))
-    }
-}
-
-/// Object-safe backend interface for harnesses that iterate over flavors.
-pub trait Backend: Send + Sync {
-    /// Short label (`cpu`, `cuda`, `custatevec`, `hip`).
-    fn label(&self) -> &'static str;
-    /// Modeled device name.
-    fn device_name(&self) -> String;
-    /// Run in single precision.
-    fn run_f32(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f32>, RunReport), BackendError>;
-    /// Run in double precision.
-    fn run_f64(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f64>, RunReport), BackendError>;
-}
-
 /// A backend: a flavor (launch policy) bound to a modeled device.
 pub struct SimBackend {
     pub(crate) flavor: Flavor,
@@ -182,7 +150,7 @@ pub struct SimBackend {
     /// "redesigned ApplyGateL" ablation (what the paper calls the
     /// "significant algorithmic overhaul" that 64-thread L blocks would
     /// need).
-    low_overhead_override: Option<f64>,
+    pub(crate) low_overhead_override: Option<f64>,
     /// Cache-blocked sweep executor for the CPU flavor: runs of
     /// consecutive low-qubit fused gates apply to cache-sized blocks in a
     /// single pass over the state (see [`qsim_core::sweep`]). GPU flavors
@@ -253,20 +221,38 @@ impl SimBackend {
         }
     }
 
-    /// The pre-run static-analysis gate ([`qsim_analyze::Analyzer::pre_run`]):
-    /// error-severity findings reject the plan *before* any device memory
-    /// is allocated; warning-severity findings are returned so the run
-    /// report can carry them.
-    pub(crate) fn analyze_pre_run(
-        &self,
-        fused: &FusedCircuit,
-    ) -> Result<Vec<String>, BackendError> {
+    /// The pre-run gate: a supported qubit count, then the static analysis
+    /// ([`qsim_analyze::Analyzer::pre_run`]). Error-severity findings
+    /// reject the plan *before* any state memory is acquired;
+    /// warning-severity findings are returned so the run report can carry
+    /// them.
+    pub(crate) fn pre_run(&self, fused: &FusedCircuit) -> Result<Vec<String>, BackendError> {
+        let n = fused.num_qubits;
+        if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
+            return Err(BackendError::InvalidCircuit(format!("unsupported qubit count {n}")));
+        }
         let report =
             qsim_analyze::Analyzer::pre_run().analyze_plan(fused, None, self.effective_sweep());
         if report.has_errors() {
             return Err(BackendError::AnalysisRejected(report.diagnostics));
         }
         Ok(report.at(qsim_core::diag::Severity::Warning).map(ToString::to_string).collect())
+    }
+
+    /// Admit `bytes` of state against the modeled device capacity. State
+    /// buffers are host allocations flowing pool → run → pool, outside
+    /// the device model's allocator, so the footprint is checked
+    /// explicitly (this is where a 31-qubit double run genuinely exceeds
+    /// the modeled A100's 40 GB).
+    pub(crate) fn check_footprint(&self, bytes: u64) -> Result<(), BackendError> {
+        let capacity = self.gpu.spec().memory_bytes;
+        if bytes > capacity {
+            return Err(BackendError::Gpu(GpuError::OutOfMemory {
+                requested_bytes: bytes,
+                free_bytes: capacity,
+            }));
+        }
+        Ok(())
     }
 
     /// The underlying modeled device.
@@ -277,35 +263,6 @@ impl SimBackend {
     /// This backend's flavor.
     pub fn flavor(&self) -> Flavor {
         self.flavor
-    }
-
-    /// Kernel descriptor for initialising the state vector on-device.
-    pub(crate) fn init_desc(
-        &self,
-        len: usize,
-        amp_bytes: usize,
-        double_precision: bool,
-    ) -> KernelDesc {
-        crate::plan::init_kernel_desc(self.flavor, len, amp_bytes, double_precision)
-    }
-
-    /// Kernel descriptor for one fused-gate pass (see
-    /// [`crate::plan::gate_kernel_desc`]).
-    pub(crate) fn gate_desc(
-        &self,
-        n: usize,
-        qubits: &[usize],
-        amp_bytes: usize,
-        double_precision: bool,
-    ) -> KernelDesc {
-        crate::plan::gate_kernel_desc(
-            self.flavor,
-            n,
-            qubits,
-            amp_bytes,
-            double_precision,
-            self.low_overhead_override,
-        )
     }
 
     /// Align a gate launch's charged work with the host execution model
@@ -412,119 +369,32 @@ impl SimBackend {
     /// This is how the benchmark harnesses evaluate the paper's 30-qubit
     /// configurations: a 30-qubit state (8–16 GiB) fits the modeled GPUs
     /// but is unnecessary (and slow) to compute when only the timing model
-    /// is of interest. `run()` at reduced qubit counts cross-validates
-    /// that functional execution and this estimate traverse identical
-    /// launch sequences.
+    /// is of interest. The dry-run charges every launch through the run
+    /// loop's own accounting (`Trip`), so it prices exactly the launch
+    /// sequence a run pays, except the final `SampleKernel`: sampling is
+    /// a run option, not part of the plan.
     pub fn estimate(
         &self,
         fused: &FusedCircuit,
         precision: qsim_core::types::Precision,
     ) -> Result<RunReport, BackendError> {
-        let n = fused.num_qubits;
-        if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
-            return Err(BackendError::InvalidCircuit(format!("unsupported qubit count {n}")));
-        }
-        let analysis_warnings = self.analyze_pre_run(fused)?;
+        let analysis_warnings = self.pre_run(fused)?;
         let wall_start = Instant::now();
-        let len = 1usize << n;
-        let amp_bytes = precision.amplitude_bytes();
-        let double_precision = precision == qsim_core::types::Precision::Double;
-        let spec = self.gpu.spec().clone();
-        let state_bytes = (len * amp_bytes) as u64;
-        if state_bytes > spec.memory_bytes {
-            return Err(BackendError::Gpu(GpuError::OutOfMemory {
-                requested_bytes: state_bytes,
-                free_bytes: spec.memory_bytes,
-            }));
-        }
-        let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-        let isa = qsim_core::simd::active_isa();
-        let lane_qubits = isa.lane_qubits(precision);
-        let mut class_grid = [[0u64; 2]; 2];
-
-        let t0 = self.gpu.synchronize();
-        let fusion_stats = fused.stats();
-        let fusion_us = Self::fusion_cost_us(&fusion_stats);
-        self.gpu.advance_host_us(fusion_us);
-
-        let init = self.init_desc(len, amp_bytes, double_precision);
-        let (s, e) = self.gpu.charge_launch(&init, StreamId::DEFAULT)?;
-        bump(&mut kernel_stats, &init.name, e - s);
-
-        let copy_stream =
-            if self.flavor.uploads_matrices() { Some(self.gpu.create_stream()) } else { None };
-        let mut tracker = PassTracker::new(&self.effective_sweep(), n);
-
+        let state_bytes = ((1usize << fused.num_qubits) * precision.amplitude_bytes()) as u64;
+        self.check_footprint(state_bytes)?;
+        let mut trip = Trip::start(self, fused, precision);
+        trip.init(1)?;
         for op in &fused.ops {
             match op {
                 FusedOp::Unitary(g) => {
-                    if let Some(cs) = copy_stream {
-                        let dim = 1u64 << g.qubits.len();
-                        self.gpu.charge_memcpy(
-                            gpu_model::trace::SpanKind::MemcpyH2D,
-                            dim * dim * amp_bytes as u64,
-                            cs,
-                        )?;
-                        let ev = self.gpu.record_event(cs)?;
-                        self.gpu.stream_wait_event(StreamId::DEFAULT, ev)?;
-                    }
-                    count_gate_class(&mut class_grid, &g.qubits, lane_qubits);
-                    let new_pass = tracker.on_gate(&g.qubits);
-                    let mut desc = self.gate_desc(n, &g.qubits, amp_bytes, double_precision);
-                    desc.work.passes = if new_pass { 1.0 } else { 0.0 };
-                    self.tune_host_charge(&mut desc, n, &g.qubits, lane_qubits, new_pass);
-                    let (s, e) = self.gpu.charge_launch(&desc, StreamId::DEFAULT)?;
-                    bump(&mut kernel_stats, &desc.name, e - s);
+                    let desc = trip.unitary(&g.qubits, 1)?;
+                    trip.charge(&desc)?;
                 }
-                FusedOp::Measurement { .. } => {
-                    tracker.on_barrier();
-                    self.gpu.charge_memcpy(
-                        gpu_model::trace::SpanKind::MemcpyD2H,
-                        state_bytes,
-                        StreamId::DEFAULT,
-                    )?;
-                    self.gpu.charge_memcpy(
-                        gpu_model::trace::SpanKind::MemcpyH2D,
-                        state_bytes,
-                        StreamId::DEFAULT,
-                    )?;
-                    bump(&mut kernel_stats, "Measure(D2H+H2D)", 0.0);
-                }
+                FusedOp::Measurement { .. } => trip.measurement(state_bytes)?,
             }
         }
-        let t_end = self.gpu.synchronize();
-
-        let kernels = kernel_stats
-            .into_iter()
-            .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
-            .collect();
-        Ok(RunReport {
-            backend: self.flavor.label().into(),
-            device: spec.name.clone(),
-            precision,
-            num_qubits: n,
-            max_fused_qubits: fused.max_fused_qubits,
-            fused_gates: fused.num_unitaries(),
-            fusion_strategy: FusionStrategy::Greedy.label().into(),
-            predicted_cost_seconds: 0.0,
-            fusion_stats,
-            simulated_seconds: (t_end - t0) * 1e-6,
-            fusion_seconds: fusion_us * 1e-6,
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
-            setup_seconds: 0.0,
-            kernels,
-            measurements: Vec::new(),
-            samples: Vec::new(),
-            state_bytes,
-            peak_state_bytes: state_bytes,
-            buffer_reused: false,
-            state_passes: tracker.stats().full_passes,
-            analysis_warnings,
-            isa: isa.name().into(),
-            gate_class_counts: GateClassCount::from_grid(class_grid),
-            batch_id: None,
-            batch_size: 1,
-        })
+        let report = trip.report(fused, state_bytes, 1, analysis_warnings);
+        Ok(RunReport { wall_seconds: wall_start.elapsed().as_secs_f64(), ..report })
     }
 
     /// Run a fused circuit at precision `F` from `|0…0⟩`, returning the
@@ -545,312 +415,18 @@ impl SimBackend {
     /// sweep cache block). On failure the state allocation rides back in
     /// [`RunFailure::buffer`] whenever it was acquired, so callers can
     /// recycle it.
+    ///
+    /// A solo run is a gang of one: this is a one-job
+    /// [`SimBackend::run_batch`] call, and its report carries
+    /// `batch_id: None, batch_size: 1`.
     pub fn run_with<F: Float>(
         &self,
         fused: &FusedCircuit,
         opts: &RunOptions,
-        mut ctx: RunContext<F>,
+        ctx: RunContext<F>,
     ) -> Result<(StateVector<F>, RunReport), RunFailure<F>> {
-        let n = fused.num_qubits;
-        if n == 0 || n > qsim_core::statevec::MAX_QUBITS {
-            return Err(RunFailure {
-                error: BackendError::InvalidCircuit(format!("unsupported qubit count {n}")),
-                buffer: ctx.reuse_buffer.take(),
-            });
-        }
-        // Static analysis replaces the old ad-hoc qubit-range loop: a
-        // malformed or non-unitary plan is rejected here, before the
-        // state vector is allocated.
-        let analysis_warnings = match self.analyze_pre_run(fused) {
-            Ok(w) => w,
-            Err(error) => return Err(RunFailure { error, buffer: ctx.reuse_buffer.take() }),
-        };
-        let wall_start = Instant::now();
-        let len = 1usize << n;
-        let amp_bytes = F::PRECISION.amplitude_bytes();
-        let double_precision = F::PRECISION == qsim_core::types::Precision::Double;
-        let spec = self.gpu.spec().clone();
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let mut kernel_stats: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-        let mut measurements = Vec::new();
-        let isa = qsim_core::simd::active_isa();
-        let lane_qubits = isa.lane_qubits(F::PRECISION);
-        let mut class_grid = [[0u64; 2]; 2];
-        let cancel = ctx.cancel.clone();
-
-        // Per-run peak-memory accounting (the device may be long-lived).
-        self.gpu.reset_peak_memory();
-
-        // ---- timed region starts here (like the paper, it includes the
-        // gate-fusion step, charged at its modeled host cost) ----
-        let t0 = self.gpu.synchronize();
-        let fusion_stats = fused.stats();
-        let fusion_us = Self::fusion_cost_us(&fusion_stats);
-        self.gpu.advance_host_us(fusion_us);
-
-        // hipMalloc the state vector (this is where a 31-qubit double run
-        // genuinely exceeds the modeled A100's 40 GB) — or adopt the
-        // caller's recycled buffer, skipping the allocation entirely.
-        let buffer_reused = ctx.reuse_buffer.is_some();
-        let mut state_buf = match ctx.reuse_buffer.take() {
-            Some(buf) if buf.len() == len => match self.gpu.adopt_vec(buf) {
-                Ok(b) => b,
-                Err((e, buf)) => {
-                    return Err(RunFailure { error: BackendError::Gpu(e), buffer: Some(buf) })
-                }
-            },
-            Some(buf) => {
-                return Err(RunFailure {
-                    error: BackendError::InvalidCircuit(format!(
-                        "recycled buffer has {} amplitudes, want 2^{n}",
-                        buf.len()
-                    )),
-                    buffer: Some(buf),
-                })
-            }
-            None => self.gpu.malloc::<Cplx<F>>(len)?,
-        };
-        let state_bytes = state_buf.bytes();
-
-        // Initialise |0…0⟩ on-device. A fresh hipMalloc is already
-        // zeroed; an adopted buffer holds the previous job's amplitudes
-        // and pays the full clearing sweep (still far cheaper than
-        // faulting in fresh pages).
-        let init = self.init_desc(len, amp_bytes, double_precision);
-        let (s, e, ()) = self.gpu.launch(&init, StreamId::DEFAULT, || {
-            let amps = state_buf.as_mut_slice();
-            if buffer_reused {
-                amps.fill(Cplx::zero());
-            }
-            amps[0] = Cplx::one();
-        })?;
-        bump(&mut kernel_stats, &init.name, e - s);
-        let setup_seconds = wall_start.elapsed().as_secs_f64();
-
-        // Dedicated copy stream so matrix uploads overlap compute
-        // (Figures 1 and 6).
-        let copy_stream =
-            if self.flavor.uploads_matrices() { Some(self.gpu.create_stream()) } else { None };
-
-        // Cache-blocked sweep state: block-local gates are charged to the
-        // modeled timeline as usual but their functional application is
-        // deferred so a whole run applies to each cache block in one pass
-        // (no sweeping on GPU flavors — `effective_sweep` disables it, the
-        // tracker then marks every gate a barrier and `pending` stays
-        // empty).
-        let mut tracker = PassTracker::new(&self.effective_sweep(), n);
-        let mut pending: Vec<(Vec<usize>, GateMatrix<F>)> = Vec::new();
-
-        for (op_index, op) in fused.ops.iter().enumerate() {
-            // The cooperative-cancellation boundary: between fused gate
-            // applications (never inside a kernel). A service's timeout
-            // watchdog and its `cancel` verb both land here.
-            if let Some(cause) = cancel.as_ref().and_then(CancelToken::cause) {
-                return Err(RunFailure {
-                    error: BackendError::Cancelled { cause, at_op: op_index },
-                    buffer: Some(state_buf.into_vec()),
-                });
-            }
-            match op {
-                FusedOp::Unitary(g) => {
-                    let matrix = g.matrix_as::<F>();
-
-                    // Ship the fused matrix to the device.
-                    if let Some(cs) = copy_stream {
-                        let mut mbuf = self.gpu.malloc::<Cplx<F>>(matrix.dim() * matrix.dim())?;
-                        self.gpu.memcpy_h2d_async(&mut mbuf, matrix.as_slice(), cs)?;
-                        let ev = self.gpu.record_event(cs)?;
-                        self.gpu.stream_wait_event(StreamId::DEFAULT, ev)?;
-                    }
-
-                    count_gate_class(&mut class_grid, &g.qubits, lane_qubits);
-                    let new_pass = tracker.on_gate(&g.qubits);
-                    let mut desc = self.gate_desc(n, &g.qubits, amp_bytes, double_precision);
-                    desc.work.passes = if new_pass { 1.0 } else { 0.0 };
-                    self.tune_host_charge(&mut desc, n, &g.qubits, lane_qubits, new_pass);
-                    if tracker.in_run() {
-                        // Block-local: charge the launch now, apply with
-                        // the rest of the run when it flushes.
-                        let (s, e) = self.gpu.charge_launch(&desc, StreamId::DEFAULT)?;
-                        bump(&mut kernel_stats, &desc.name, e - s);
-                        pending.push((g.qubits.clone(), matrix));
-                    } else {
-                        // Barrier gate: flush the open run, then go
-                        // through the ordinary strided kernel.
-                        if let Err(cause) = flush_run(
-                            &self.sweep,
-                            state_buf.as_mut_slice(),
-                            &mut pending,
-                            cancel.as_ref(),
-                        ) {
-                            return Err(RunFailure {
-                                error: BackendError::Cancelled { cause, at_op: op_index },
-                                buffer: Some(state_buf.into_vec()),
-                            });
-                        }
-                        let (s, e, ()) = self.gpu.launch(&desc, StreamId::DEFAULT, || {
-                            apply_gate_slice_par(state_buf.as_mut_slice(), &g.qubits, &matrix);
-                        })?;
-                        bump(&mut kernel_stats, &desc.name, e - s);
-                        debug_assert_norm(state_buf.as_slice(), &desc.name);
-                    }
-                }
-                FusedOp::Measurement { qubits, .. } => {
-                    tracker.on_barrier();
-                    if let Err(cause) = flush_run(
-                        &self.sweep,
-                        state_buf.as_mut_slice(),
-                        &mut pending,
-                        cancel.as_ref(),
-                    ) {
-                        return Err(RunFailure {
-                            error: BackendError::Cancelled { cause, at_op: op_index },
-                            buffer: Some(state_buf.into_vec()),
-                        });
-                    }
-                    // qsim measures on-device; we model the equivalent
-                    // traffic with an explicit round trip: D2H, host
-                    // measurement + collapse, H2D.
-                    let mut host: Vec<Cplx<F>> = vec![Cplx::zero(); len];
-                    self.gpu.memcpy_d2h_async(&mut host, &state_buf, StreamId::DEFAULT)?;
-                    self.gpu.sync_stream(StreamId::DEFAULT)?;
-                    let outcome = measure_slice(&mut host, qubits, &mut rng);
-                    measurements.push((qubits.clone(), outcome));
-                    self.gpu.memcpy_h2d_async(&mut state_buf, &host, StreamId::DEFAULT)?;
-                    bump(&mut kernel_stats, "Measure(D2H+H2D)", 0.0);
-                }
-            }
-        }
-        tracker.on_barrier();
-        if let Err(cause) =
-            flush_run(&self.sweep, state_buf.as_mut_slice(), &mut pending, cancel.as_ref())
-        {
-            return Err(RunFailure {
-                error: BackendError::Cancelled { cause, at_op: fused.ops.len() },
-                buffer: Some(state_buf.into_vec()),
-            });
-        }
-
-        // Final sampling on-device (qsim's `SampleKernel`: one cumulative
-        // pass over the probabilities).
-        let mut samples = Vec::new();
-        if opts.sample_count > 0 {
-            let tpb = self.flavor.threads_per_block(qsim_core::kernels::KernelClass::High);
-            let desc = KernelDesc {
-                name: "SampleKernel".into(),
-                blocks: ((len as u64) / 2 / tpb as u64).max(1),
-                threads_per_block: tpb,
-                shared_mem_bytes: 0,
-                work: gpu_model::runtime::KernelWork {
-                    bytes: (len * amp_bytes) as f64,
-                    flops: len as f64 * 4.0,
-                    passes: 1.0,
-                },
-                double_precision,
-            };
-            let (s, e, drawn) = self.gpu.launch(&desc, StreamId::DEFAULT, || {
-                qsim_core::statespace::sample_slice(
-                    state_buf.as_slice(),
-                    opts.sample_count,
-                    &mut rng,
-                )
-            })?;
-            bump(&mut kernel_stats, &desc.name, e - s);
-            samples = drawn;
-        }
-
-        let t_end = self.gpu.synchronize();
-        // ---- timed region ends. ----
-
-        // Move the amplitudes out instead of copying: releases the device
-        // accounting while keeping the allocation alive inside the
-        // returned state, whose buffer the caller may recycle via
-        // `StateVector::into_amplitudes`.
-        let peak_state_bytes = self.gpu.memory_usage().1;
-        let state = StateVector::from_amplitudes(state_buf.into_vec());
-
-        let kernels = kernel_stats
-            .into_iter()
-            .map(|(name, (count, time_us))| KernelStat { name, count, time_us })
-            .collect();
-
-        let report = RunReport {
-            backend: self.flavor.label().into(),
-            device: spec.name.clone(),
-            precision: F::PRECISION,
-            num_qubits: n,
-            max_fused_qubits: fused.max_fused_qubits,
-            fused_gates: fused.num_unitaries(),
-            fusion_strategy: FusionStrategy::Greedy.label().into(),
-            predicted_cost_seconds: 0.0,
-            fusion_stats,
-            simulated_seconds: (t_end - t0) * 1e-6,
-            fusion_seconds: fusion_us * 1e-6,
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
-            setup_seconds,
-            kernels,
-            measurements,
-            samples,
-            state_bytes,
-            peak_state_bytes,
-            buffer_reused,
-            state_passes: tracker.stats().full_passes,
-            analysis_warnings,
-            isa: isa.name().into(),
-            gate_class_counts: GateClassCount::from_grid(class_grid),
-            batch_id: None,
-            batch_size: 1,
-        };
-        Ok((state, report))
-    }
-}
-
-pub(crate) fn bump(stats: &mut BTreeMap<String, (u64, f64)>, name: &str, dur_us: f64) {
-    let entry = stats.entry(name.to_string()).or_insert((0, 0.0));
-    entry.0 += 1;
-    entry.1 += dur_us;
-}
-
-/// Tally one fused unitary into the `[gpu][cpu]` class grid (index 0 =
-/// High, 1 = Low) that flattens into [`RunReport::gate_class_counts`].
-pub(crate) fn count_gate_class(grid: &mut [[u64; 2]; 2], qubits: &[usize], lane_qubits: usize) {
-    use qsim_core::kernels::{classify_gate, classify_gate_at, KernelClass};
-    let gpu = (classify_gate(qubits) == KernelClass::Low) as usize;
-    let cpu = (classify_gate_at(qubits, lane_qubits) == KernelClass::Low) as usize;
-    grid[gpu][cpu] += 1;
-}
-
-/// Apply and clear the pending run of block-local gates (no-op when the
-/// run is empty). The cancel token, when present, is polled at every
-/// sweep cache block; a cancelled run leaves `amps` partially updated and
-/// reports the cause.
-fn flush_run<F: Float>(
-    sweep: &SweepExecutor,
-    amps: &mut [Cplx<F>],
-    pending: &mut Vec<(Vec<usize>, GateMatrix<F>)>,
-    cancel: Option<&CancelToken>,
-) -> Result<(), CancelCause> {
-    if !pending.is_empty() {
-        sweep.apply_run_cancellable(
-            amps,
-            pending.iter().map(|(q, m)| (q.as_slice(), m)),
-            cancel,
-        )?;
-        pending.clear();
-        debug_assert_norm(amps, "cache-blocked sweep run");
-    }
-    Ok(())
-}
-
-/// Debug-build invariant checked after every fused-gate application: the
-/// plan's unitaries passed the pre-run analysis, so any norm drift beyond
-/// rounding means a kernel bug, not a bad circuit. Compiles to nothing in
-/// release builds.
-fn debug_assert_norm<F: Float>(amps: &[Cplx<F>], what: &str) {
-    if cfg!(debug_assertions) {
-        let norm_sqr = qsim_core::statespace::norm_sqr_slice(amps);
-        let tol = if F::PRECISION == qsim_core::types::Precision::Double { 1e-9 } else { 1e-3 };
-        assert!((norm_sqr - 1.0).abs() < tol, "state norm² drifted to {norm_sqr} after {what}");
+        let job = BatchJob { fused: Some(fused), opts: *opts, ctx };
+        self.run_batch(vec![job]).pop().expect("a one-job batch yields one result")
     }
 }
 
@@ -867,32 +443,6 @@ const _: () = {
     assert_send_sync::<RunFailure<f32>>();
     assert_send_sync::<RunFailure<f64>>();
 };
-
-impl Backend for SimBackend {
-    fn label(&self) -> &'static str {
-        self.flavor.label()
-    }
-
-    fn device_name(&self) -> String {
-        self.gpu.spec().name.clone()
-    }
-
-    fn run_f32(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f32>, RunReport), BackendError> {
-        self.run::<f32>(fused, opts)
-    }
-
-    fn run_f64(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f64>, RunReport), BackendError> {
-        self.run::<f64>(fused, opts)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1039,13 +589,14 @@ mod tests {
 
     #[test]
     fn non_unitary_plan_rejected_before_allocation() {
+        use qsim_core::GateMatrix;
         use qsim_fusion::FusedGate;
 
         // A hand-built plan carrying a non-unitary "custom gate".
         let mut matrix = GateMatrix::<f64>::identity(2);
         matrix.set(0, 0, Cplx::new(2.0, 0.0));
         let fused = FusedCircuit {
-            num_qubits: 20,
+            num_qubits: 10,
             ops: vec![FusedOp::Unitary(FusedGate {
                 qubits: vec![0],
                 matrix,
@@ -1054,17 +605,21 @@ mod tests {
             })],
             max_fused_qubits: 2,
         };
+        // The gate fires before the state is touched: a recycled buffer
+        // full of sentinels comes back exactly as it went in.
+        let sentinel = Cplx::new(0.25, -0.5);
+        let ctx = RunContext { reuse_buffer: Some(vec![sentinel; 1 << 10]), cancel: None };
         let backend = SimBackend::new(Flavor::Hip);
-        match backend.run::<f64>(&fused, &RunOptions::default()) {
-            Err(BackendError::AnalysisRejected(diags)) => {
+        let failure = backend.run_with::<f64>(&fused, &RunOptions::default(), ctx).unwrap_err();
+        match failure.error {
+            BackendError::AnalysisRejected(diags) => {
                 assert!(diags.iter().any(|d| d.code == "QP0205"), "{diags:?}");
             }
-            other => panic!("expected analysis rejection, got {:?}", other.map(|_| ())),
+            other => panic!("expected analysis rejection, got {other:?}"),
         }
-        // The gate fired before hipMalloc: the modeled device never
-        // allocated a byte.
-        let (allocated, peak, _) = backend.gpu().memory_usage();
-        assert_eq!((allocated, peak), (0, 0));
+        let buffer = failure.buffer.expect("the rejected run must hand its buffer back");
+        assert_eq!(buffer.len(), 1 << 10);
+        assert!(buffer.iter().all(|a| (a.re, a.im) == (sentinel.re, sentinel.im)));
         // estimate() runs the same gate.
         assert!(matches!(
             backend.estimate(&fused, Precision::Double),
@@ -1121,22 +676,81 @@ mod tests {
         );
     }
 
+    /// A 10-qubit circuit with a mid-circuit measurement between two
+    /// entangling layers.
+    fn measured_circuit() -> qsim_circuit::Circuit {
+        use qsim_circuit::gates::GateKind;
+
+        let mut c = qsim_circuit::Circuit::new(10);
+        for q in 0..10 {
+            c.add(0, GateKind::H, &[q]);
+        }
+        for q in (0..9).step_by(2) {
+            c.add(1, GateKind::Cz, &[q, q + 1]);
+        }
+        c.add(2, GateKind::Measurement, &[0, 7]);
+        for q in 0..10 {
+            c.add(3, GateKind::Rx(0.3 * (q + 1) as f64), &[q]);
+        }
+        for q in (1..9).step_by(2) {
+            c.add(4, GateKind::Cz, &[q, q + 1]);
+        }
+        c
+    }
+
     #[test]
     fn estimate_matches_run_launch_sequence() {
         // The dry-run and the functional run must traverse identical
-        // kernel sequences with identical modeled durations.
-        let circuit = generate_rqc(&RqcOptions::for_qubits(12, 6, 4));
-        let fused = fuse(&circuit, 3);
-        for flavor in Flavor::all() {
-            let (_, run) = run_flavor::<f32>(flavor, &fused);
-            let est = SimBackend::new(flavor).estimate(&fused, Precision::Single).unwrap();
-            assert_eq!(run.kernels.len(), est.kernels.len(), "{flavor:?}");
-            for (a, b) in run.kernels.iter().zip(est.kernels.iter()) {
-                assert_eq!(a.name, b.name, "{flavor:?}");
-                assert_eq!(a.count, b.count, "{flavor:?}");
-                assert!((a.time_us - b.time_us).abs() < 1e-6, "{flavor:?} {}", a.name);
+        // kernel sequences with identical modeled durations and memory
+        // peaks — with and without a mid-circuit measurement.
+        let rqc = fuse(&generate_rqc(&RqcOptions::for_qubits(12, 6, 4)), 3);
+        let measured = fuse(&measured_circuit(), 3);
+        for (fused, opts) in
+            [(&rqc, RunOptions::default()), (&measured, RunOptions { seed: 9, sample_count: 64 })]
+        {
+            for flavor in Flavor::all() {
+                let backend = SimBackend::new(flavor);
+                let (_, run) = backend.run::<f32>(fused, &opts).unwrap();
+                let est = backend.estimate(fused, Precision::Single).unwrap();
+                // The dry-run does not sample: the run's SampleKernel is
+                // compared on its own.
+                let sample: Vec<_> =
+                    run.kernels.iter().filter(|k| k.name == "SampleKernel").collect();
+                let kernels: Vec<_> =
+                    run.kernels.iter().filter(|k| k.name != "SampleKernel").collect();
+                assert_eq!(kernels.len(), est.kernels.len(), "{flavor:?}");
+                for (a, b) in kernels.iter().zip(est.kernels.iter()) {
+                    assert_eq!(a.name, b.name, "{flavor:?}");
+                    assert_eq!(a.count, b.count, "{flavor:?}");
+                    assert!((a.time_us - b.time_us).abs() < 1e-6, "{flavor:?} {}", a.name);
+                }
+                let sample_us = match (opts.sample_count, sample.as_slice()) {
+                    (0, []) => 0.0,
+                    (_, [k]) => {
+                        assert_eq!(k.count, 1, "{flavor:?}");
+                        let desc = crate::plan::sample_kernel_desc(flavor, 1 << 10, 8, false);
+                        let (s, e) = Gpu::new(flavor.default_spec())
+                            .charge_launch(&desc, gpu_model::runtime::StreamId::DEFAULT)
+                            .unwrap();
+                        assert!((k.time_us - (e - s)).abs() < 1e-9, "{flavor:?}");
+                        k.time_us
+                    }
+                    other => panic!("{flavor:?}: unexpected SampleKernel entries {other:?}"),
+                };
+                let dry = est.simulated_seconds + sample_us * 1e-6;
+                assert!((run.simulated_seconds - dry).abs() < 1e-9, "{flavor:?}");
+                assert_eq!(run.peak_state_bytes, est.peak_state_bytes, "{flavor:?}");
+                assert_eq!(run.state_passes, est.state_passes, "{flavor:?}");
+                assert_eq!(
+                    run.measurements.len(),
+                    est.kernels
+                        .iter()
+                        .filter(|k| k.name.starts_with("Measure"))
+                        .map(|k| k.count as usize)
+                        .sum::<usize>(),
+                    "{flavor:?}"
+                );
             }
-            assert!((run.simulated_seconds - est.simulated_seconds).abs() < 1e-9, "{flavor:?}");
         }
     }
 

@@ -173,8 +173,8 @@ pub fn apply_run_gang<F: Float>(
 
 /// Apply one barrier (non-block-local) gate to every active state through
 /// the ordinary strided parallel kernel — the same
-/// [`kernels::apply_gate_slice_par`] call the single-state run loop makes,
-/// so per-state results are bit-identical. The matrix is converted once by
+/// [`kernels::apply_gate_slice_par`] call a lone state takes, so
+/// per-state results are bit-identical. The matrix is converted once by
 /// the caller and shared across the gang.
 pub fn apply_gate_gang<F: Float>(
     batch: &mut StateBatch<F>,

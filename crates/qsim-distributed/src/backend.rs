@@ -24,9 +24,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use qsim_backends::plan::{gate_kernel_desc, init_kernel_desc};
-use qsim_backends::{
-    Backend, BackendError, Flavor, KernelStat, PlanOptions, RunOptions, RunReport,
-};
+use qsim_backends::{BackendError, Flavor, KernelStat, PlanOptions, RunOptions, RunReport};
 use qsim_circuit::gates::permute_matrix_bits;
 use qsim_core::kernels::apply_gate_slice_par;
 use qsim_core::matrix::GateMatrix;
@@ -760,38 +758,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MultiGcdBackend>();
 };
-
-impl Backend for MultiGcdBackend {
-    fn label(&self) -> &'static str {
-        self.flavor.label()
-    }
-
-    fn device_name(&self) -> String {
-        format!("{}x {}", self.devices.len(), self.devices[0].spec().name)
-    }
-
-    fn run_f32(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f32>, RunReport), BackendError> {
-        let wall = Instant::now();
-        let (state, dist) = self.run::<f32>(fused, opts)?;
-        let report = self.run_report(&dist, fused, wall.elapsed().as_secs_f64());
-        Ok((state, report))
-    }
-
-    fn run_f64(
-        &self,
-        fused: &FusedCircuit,
-        opts: &RunOptions,
-    ) -> Result<(StateVector<f64>, RunReport), BackendError> {
-        let wall = Instant::now();
-        let (state, dist) = self.run::<f64>(fused, opts)?;
-        let report = self.run_report(&dist, fused, wall.elapsed().as_secs_f64());
-        Ok((state, report))
-    }
-}
 
 #[cfg(test)]
 mod tests {

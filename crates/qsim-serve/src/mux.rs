@@ -60,8 +60,9 @@ pub const DEFAULT_IO_THREADS: usize = 4;
 /// (and stops accruing stream frames) until the client drains.
 pub const WRITE_WATERMARK: usize = 64 * 1024;
 
-/// Hard cap on one request line; a connection that exceeds it without a
-/// newline is protocol-broken and is dropped.
+/// Hard cap on one request line; a connection whose unterminated tail
+/// exceeds it is protocol-broken and is dropped. Pipelined complete lines
+/// may add up to more.
 pub const MAX_LINE_BYTES: usize = 1024 * 1024;
 
 /// Samples per streamed `samples` frame.
@@ -297,30 +298,15 @@ impl Conn {
         }
 
         // 3. Read whatever is available, within the backpressure gate.
+        //    Step 4 dispatched every complete line last tick, so the
+        //    buffer holds at most one line's unterminated tail.
         if self.wbuf.len() < WRITE_WATERMARK {
-            let mut chunk = [0u8; 4096];
-            loop {
-                match self.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        self.closing = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.rbuf.extend_from_slice(&chunk[..n]);
-                        progressed = true;
-                        if self.rbuf.len() > MAX_LINE_BYTES {
-                            return Tick { alive: false, progressed };
-                        }
-                        // Keep draining the socket only while lines are
-                        // short; a fair scheduler moves on.
-                        if n < chunk.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => return Tick { alive: false, progressed },
-                }
+            let (read, end) = read_available(&mut self.stream, &mut self.rbuf);
+            progressed |= read;
+            match end {
+                ReadEnd::WouldBlock => {}
+                ReadEnd::Eof => self.closing = true,
+                ReadEnd::Broken => return Tick { alive: false, progressed },
             }
         }
 
@@ -360,6 +346,57 @@ impl Conn {
     fn enqueue(&mut self, line: &str) {
         self.wbuf.extend(line.as_bytes());
         self.wbuf.push_back(b'\n');
+    }
+}
+
+/// How one [`read_available`] pass ended.
+#[derive(Debug, PartialEq)]
+enum ReadEnd {
+    /// Nothing more to read right now (or the pass yielded to the
+    /// dispatcher).
+    WouldBlock,
+    /// The peer closed its side.
+    Eof,
+    /// An I/O error, or a line longer than [`MAX_LINE_BYTES`].
+    Broken,
+}
+
+/// Read whatever `src` has available onto `rbuf`, which holds no complete
+/// line, without blocking; returns whether any byte arrived and how the
+/// pass ended. Only the unterminated tail after the last newline counts
+/// against [`MAX_LINE_BYTES`]: pipelined complete lines may add up to
+/// more, and the pass yields once the buffer holds a cap's worth so the
+/// caller can dispatch them.
+fn read_available(src: &mut impl Read, rbuf: &mut Vec<u8>) -> (bool, ReadEnd) {
+    let mut chunk = [0u8; 4096];
+    let mut tail = rbuf.len();
+    let mut read_any = false;
+    loop {
+        match src.read(&mut chunk) {
+            Ok(0) => return (read_any, ReadEnd::Eof),
+            Ok(n) => {
+                let read = &chunk[..n];
+                tail = match read.iter().rposition(|&b| b == b'\n') {
+                    Some(last) => n - last - 1,
+                    None => tail + n,
+                };
+                rbuf.extend_from_slice(read);
+                read_any = true;
+                if tail > MAX_LINE_BYTES {
+                    return (read_any, ReadEnd::Broken);
+                }
+                // Keep draining the socket only while lines are short;
+                // a fair scheduler moves on.
+                if n < chunk.len() || rbuf.len() > MAX_LINE_BYTES {
+                    return (read_any, ReadEnd::WouldBlock);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                return (read_any, ReadEnd::WouldBlock)
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return (read_any, ReadEnd::Broken),
+        }
     }
 }
 
@@ -527,6 +564,61 @@ mod tests {
         for &id in &ids {
             service.wait(JobId(id), Duration::from_secs(60));
         }
+        stop.shutdown();
+        thread.join().unwrap().unwrap();
+    }
+
+    /// A nonblocking source that hands out its bytes in full 4 KiB reads,
+    /// then would block.
+    struct Pending(std::io::Cursor<Vec<u8>>);
+
+    impl Read for Pending {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.read(buf)? {
+                0 => Err(std::io::ErrorKind::WouldBlock.into()),
+                n => Ok(n),
+            }
+        }
+    }
+
+    #[test]
+    fn line_cap_applies_to_the_unterminated_tail() {
+        // ~1.2 MiB of complete 100-byte lines plus a 10-byte tail: every
+        // line is handed to the dispatcher, the tail stays buffered.
+        let line = format!("{:<99}\n", r#"{"verb":"status","id":1}"#);
+        let count = MAX_LINE_BYTES * 6 / 5 / line.len();
+        let mut src =
+            Pending(std::io::Cursor::new((line.repeat(count) + &line[..10]).into_bytes()));
+        let (mut rbuf, mut lines) = (Vec::new(), 0);
+        loop {
+            let (read, end) = read_available(&mut src, &mut rbuf);
+            assert_eq!(end, ReadEnd::WouldBlock);
+            while let Some(pos) = rbuf.iter().position(|&b| b == b'\n') {
+                rbuf.drain(..=pos);
+                lines += 1;
+            }
+            if !read {
+                break;
+            }
+        }
+        assert_eq!((lines, rbuf.len()), (count, 10));
+
+        // A tail past the cap with no newline breaks the connection.
+        let mut src = Pending(std::io::Cursor::new(vec![b' '; MAX_LINE_BYTES + 1]));
+        assert_eq!(read_available(&mut src, &mut Vec::new()), (true, ReadEnd::Broken));
+    }
+
+    #[test]
+    fn a_line_past_the_cap_drops_the_connection() {
+        let (_service, addr, stop, thread) = start_mux(1);
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        // The server may close mid-write; only the outcome matters.
+        let _ = conn.write_all(&vec![b' '; MAX_LINE_BYTES + 4096]);
+        let mut response = String::new();
+        let closed = matches!(reader.read_line(&mut response), Ok(0) | Err(_));
+        assert!(closed, "an over-long line must drop the connection, got {response:?}");
         stop.shutdown();
         thread.join().unwrap().unwrap();
     }

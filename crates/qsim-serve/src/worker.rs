@@ -9,11 +9,12 @@
 //!
 //! Dispatch goes through [`crate::queue::JobQueue::pop_work`], which
 //! enforces the modeled-bandwidth gate and may hand back a **gang** of
-//! hash-equal Batch-class jobs; gangs run through
-//! [`SimBackend::run_batch`] — one gate plan, one matrix upload per gate,
-//! one sweep across every member's state. Each worker remembers the
-//! `(precision, length)` bucket it last touched and asks the queue for
-//! matching work first, so its just-released buffer is re-adopted warm.
+//! hash-equal Batch-class jobs. Every non-sharded unit, a lone job or a
+//! gang, runs through one [`SimBackend::run_batch`] call — one gate plan,
+//! one matrix upload per gate, one sweep across every member's state.
+//! Each worker remembers the `(precision, length)` bucket it last touched
+//! and asks the queue for matching work first, so its just-released
+//! buffer is re-adopted warm.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use qsim_distributed::MultiGcdBackend;
 
 use qsim_core::types::{Cplx, Float};
 
-use crate::pool::{PoolSlot, StateBufferPool};
+use crate::pool::PoolSlot;
 use crate::queue::{BucketKey, QueuedJob};
 use crate::service::{FinalState, JobOutcome, ServiceInner};
 
@@ -148,15 +149,9 @@ fn worker_loop(inner: &ServiceInner) {
             vec![(job.id, outcome)]
         } else {
             let backend = backends.entry(flavor).or_insert_with(|| SimBackend::new(flavor));
-            let outcomes = match (live.len(), live[0].spec.precision) {
-                (1, Precision::Single) => {
-                    vec![(live[0].id, run_job::<f32>(backend, &inner.pool, &live[0]))]
-                }
-                (1, Precision::Double) => {
-                    vec![(live[0].id, run_job::<f64>(backend, &inner.pool, &live[0]))]
-                }
-                (_, Precision::Single) => run_gang::<f32>(backend, inner, &live),
-                (_, Precision::Double) => run_gang::<f64>(backend, inner, &live),
+            let outcomes = match live[0].spec.precision {
+                Precision::Single => run_gang::<f32>(backend, inner, &live),
+                Precision::Double => run_gang::<f64>(backend, inner, &live),
             };
             if live.len() > 1 {
                 inner.record_batch(live.len());
@@ -172,45 +167,6 @@ fn worker_loop(inner: &ServiceInner) {
         inner.admission.finish_traffic(unit.running_bps);
         inner.finish_many(outcomes);
         inner.queue.notify();
-    }
-}
-
-/// Execute one job at precision `F`, recycling the state buffer through
-/// the pool on every exit path. The fusion plan rides in the job —
-/// planning happened once, at submission.
-fn run_job<F: StateSlot>(
-    backend: &SimBackend,
-    pool: &StateBufferPool,
-    job: &QueuedJob,
-) -> JobOutcome {
-    let len = 1usize << job.spec.circuit.num_qubits;
-    let run_opts = RunOptions { seed: job.spec.seed, sample_count: job.spec.sample_count };
-    let ctx =
-        RunContext::<F> { reuse_buffer: pool.acquire::<F>(len), cancel: Some(job.cancel.clone()) };
-    match backend.run_with::<F>(&job.plan.fused, &run_opts, ctx) {
-        Ok((state, mut report)) => {
-            report.fusion_strategy = job.plan.strategy.label().into();
-            report.predicted_cost_seconds = job.plan.predicted_cost_seconds;
-            // The result verb only needs the report; unless the submitter
-            // asked to keep the state, its allocation is worth more as the
-            // next job's warm buffer.
-            let kept = if job.spec.keep_state {
-                Some(F::wrap(state.into_amplitudes()))
-            } else {
-                pool.release(state.into_amplitudes());
-                None
-            };
-            JobOutcome::Done(Box::new(report), kept)
-        }
-        Err(failure) => {
-            if let Some(buffer) = failure.buffer {
-                pool.release(buffer);
-            }
-            match failure.error {
-                BackendError::Cancelled { cause, .. } => JobOutcome::Cancelled(cause),
-                error => JobOutcome::Failed(error.to_string()),
-            }
-        }
     }
 }
 
@@ -246,11 +202,14 @@ fn run_sharded<F: StateSlot + Float>(
     }
 }
 
-/// Execute a gang of gang-compatible jobs through `run_batch`: every
-/// member gets its own pooled buffer, seed, sample count and cancel
-/// token, but the gate plan, matrix conversions and sweep passes are paid
-/// once for the whole gang. Per-member outcomes are returned (not
-/// published) so the caller can settle the traffic ledger first.
+/// Execute a unit of gang-compatible jobs — one job, or a gang — through
+/// one `run_batch` call, recycling every state buffer through the pool on
+/// every exit path. Every member gets its own pooled buffer, seed, sample
+/// count and cancel token, but the gate plan, matrix conversions and
+/// sweep passes are paid once for the whole gang. The fusion plan rides
+/// in each job — planning happened once, at submission. Per-member
+/// outcomes are returned (not published) so the caller can settle the
+/// traffic ledger first.
 fn run_gang<F: StateSlot>(
     backend: &SimBackend,
     inner: &ServiceInner,
@@ -276,6 +235,9 @@ fn run_gang<F: StateSlot>(
                 Ok((state, mut report)) => {
                     report.fusion_strategy = job.plan.strategy.label().into();
                     report.predicted_cost_seconds = job.plan.predicted_cost_seconds;
+                    // The result verb only needs the report; unless the
+                    // submitter asked to keep the state, its allocation is
+                    // worth more as the next job's warm buffer.
                     let kept = if job.spec.keep_state {
                         Some(F::wrap(state.into_amplitudes()))
                     } else {
